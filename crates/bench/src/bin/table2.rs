@@ -3,9 +3,12 @@
 //!
 //! Paper (seconds): rows MLOC-COL/ISO/ISA ≈ 0.3–1.7, Seq. Scan ≈ 19–23,
 //! FastBit ≈ 37–38, SciDB ≈ 207–677.
+//!
+//! Exits nonzero unless every MLOC variant is below Seq. Scan in all
+//! four cells — the paper's headline ordering.
 
 use mloc_bench::compare::{build_systems, region_comparison, Lineup};
-use mloc_bench::report::{note, title, Table};
+use mloc_bench::report::{enforce_shape, note, shape_violations, title, Table};
 use mloc_bench::scenario::DatasetSpec;
 use mloc_bench::HarnessArgs;
 use mloc_pfs::MemBackend;
@@ -24,7 +27,8 @@ fn main() {
     ];
 
     title("Table II: region query response time (s), VC selectivity 1% / 10%");
-    let mut table = Table::new(&["system", "1% GTS", "10% GTS", "1% S3D", "10% S3D"]);
+    let cols = ["1% GTS", "10% GTS", "1% S3D", "10% S3D"];
+    let mut table = Table::new(&["system", cols[0], cols[1], cols[2], cols[3]]);
     let mut measured: Vec<(String, Vec<f64>)> = Vec::new();
 
     for (col_base, spec) in [
@@ -75,4 +79,14 @@ fn main() {
         args.queries, args.ranks
     ));
     note("expected shape: MLOC ≪ Seq. Scan < FastBit ≪ SciDB");
+    enforce_shape(
+        "every MLOC variant below Seq. Scan in every cell",
+        &shape_violations(
+            &measured,
+            &["MLOC-COL", "MLOC-ISO", "MLOC-ISA"],
+            "Seq. Scan",
+            &[0, 1, 2, 3],
+            &cols,
+        ),
+    );
 }

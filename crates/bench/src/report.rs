@@ -81,9 +81,75 @@ pub fn note(text: &str) {
     println!("  note: {text}");
 }
 
+/// Paper-shape gate: every `systems` row must lie strictly below the
+/// `reference` row in each of `cols` (indices into the measured cells,
+/// named by `headers`). Returns one line per violated ordering; a
+/// missing row or a NaN cell is a violation too.
+pub fn shape_violations(
+    measured: &[(String, Vec<f64>)],
+    systems: &[&str],
+    reference: &str,
+    cols: &[usize],
+    headers: &[&str],
+) -> Vec<String> {
+    let row = |name: &str| measured.iter().find(|(n, _)| n == name).map(|(_, v)| v);
+    let mut out = Vec::new();
+    let Some(reference_row) = row(reference) else {
+        return vec![format!("no {reference} row measured")];
+    };
+    for &sys in systems {
+        let Some(r) = row(sys) else {
+            out.push(format!("no {sys} row measured"));
+            continue;
+        };
+        for &c in cols {
+            let (v, refv) = (r[c], reference_row[c]);
+            if v.partial_cmp(&refv) != Some(std::cmp::Ordering::Less) {
+                out.push(format!(
+                    "{sys} {v:.3} s is not below {reference} {refv:.3} s at {}",
+                    headers[c]
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// Print the outcome of a paper-shape gate and exit with status 1 when
+/// any ordering failed.
+pub fn enforce_shape(what: &str, violations: &[String]) {
+    if violations.is_empty() {
+        note(&format!("shape gate passed: {what}"));
+        return;
+    }
+    for v in violations {
+        eprintln!("shape gate FAILED ({what}): {v}");
+    }
+    std::process::exit(1);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shape_violations_name_each_failed_cell() {
+        let measured = vec![
+            ("A".to_string(), vec![0.1, 0.5]),
+            ("B".to_string(), vec![0.3, f64::NAN]),
+            ("Ref".to_string(), vec![0.2, 0.4]),
+        ];
+        let h = ["c0", "c1"];
+        assert!(shape_violations(&measured, &["A"], "Ref", &[0], &h).is_empty());
+        let v = shape_violations(&measured, &["A", "B", "C"], "Ref", &[0, 1], &h);
+        assert_eq!(v.len(), 4, "{v:?}");
+        assert!(v[0].starts_with("A 0.500") && v[0].ends_with("at c1"));
+        assert!(v.iter().any(|l| l == "no C row measured"));
+        assert_eq!(
+            shape_violations(&measured, &["A"], "X", &[0], &h),
+            vec!["no X row measured".to_string()]
+        );
+    }
 
     #[test]
     fn bytes_formatting() {

@@ -253,8 +253,34 @@ impl WahBitmap {
             let off = 16 + i * 4;
             words.push(u32::from_le_bytes(data[off..off + 4].try_into().unwrap()));
         }
+        check_length(num_bits, &words)?;
         Ok((WahBitmap { words, num_bits }, need))
     }
+}
+
+/// Structural check of a decoded stream: its words must cover exactly
+/// the groups `num_bits` needs (the last group may be partial). A valid
+/// CRC does not vouch for this — the bytes may be stale or mis-framed —
+/// and an unchecked `num_bits` would let iteration run past the words
+/// or report a length the words never describe.
+fn check_length(num_bits: u64, words: &[u32]) -> Result<(), BitmapError> {
+    let groups: u64 = words
+        .iter()
+        .map(|&w| {
+            if w & FILL_FLAG != 0 {
+                u64::from(w & FILL_COUNT_MASK)
+            } else {
+                1
+            }
+        })
+        .sum();
+    if groups != num_bits.div_ceil(GROUP_BITS) {
+        return Err(BitmapError::LengthMismatch {
+            num_bits,
+            covered_bits: groups.saturating_mul(GROUP_BITS),
+        });
+    }
+    Ok(())
 }
 
 /// Errors from bitmap deserialization.
@@ -264,6 +290,14 @@ pub enum BitmapError {
     Truncated,
     /// Magic number mismatch.
     BadMagic(u32),
+    /// The header's bit count disagrees with the bits the word stream
+    /// covers.
+    LengthMismatch {
+        /// Bit count from the header.
+        num_bits: u64,
+        /// Bits the word stream covers (whole 31-bit groups).
+        covered_bits: u64,
+    },
 }
 
 impl std::fmt::Display for BitmapError {
@@ -271,6 +305,13 @@ impl std::fmt::Display for BitmapError {
         match self {
             BitmapError::Truncated => write!(f, "bitmap byte stream truncated"),
             BitmapError::BadMagic(m) => write!(f, "bad bitmap magic {m:#x}"),
+            BitmapError::LengthMismatch {
+                num_bits,
+                covered_bits,
+            } => write!(
+                f,
+                "bitmap header claims {num_bits} bits but its words cover {covered_bits}"
+            ),
         }
     }
 }
@@ -428,6 +469,7 @@ impl<'a> WahRef<'a> {
                 .chunks_exact(4)
                 .map(|c| u32::from_le_bytes(c.try_into().unwrap())),
         );
+        check_length(num_bits, scratch)?;
         Ok((
             WahRef {
                 words: scratch,
@@ -1105,6 +1147,39 @@ mod tests {
             WahBitmap::from_bytes(&bytes),
             Err(BitmapError::BadMagic(_))
         ));
+    }
+
+    #[test]
+    fn serialization_rejects_length_disagreeing_with_words() {
+        // Hand-built header: 40 bits need two groups, but the stream
+        // holds one literal word (31 bits).
+        let mut bytes = MAGIC.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&40u64.to_le_bytes());
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&0x5u32.to_le_bytes());
+        let want = Err(BitmapError::LengthMismatch {
+            num_bits: 40,
+            covered_bits: 31,
+        });
+        assert_eq!(WahBitmap::from_bytes(&bytes), want);
+        let mut scratch = Vec::new();
+        assert!(matches!(
+            WahRef::decode_into(&bytes, &mut scratch),
+            Err(BitmapError::LengthMismatch {
+                num_bits: 40,
+                covered_bits: 31
+            })
+        ));
+        // A header claiming more than 2^24 bits over the same word.
+        bytes[4..12].copy_from_slice(&(1u64 << 25).to_le_bytes());
+        assert!(matches!(
+            WahBitmap::from_bytes(&bytes),
+            Err(BitmapError::LengthMismatch { .. })
+        ));
+        // 31 bits are exactly one group: consistent.
+        bytes[4..12].copy_from_slice(&31u64.to_le_bytes());
+        let (b, _) = WahBitmap::from_bytes(&bytes).unwrap();
+        assert_eq!(b.to_positions(), vec![0, 2]);
     }
 
     #[test]

@@ -36,6 +36,25 @@ proptest! {
         prop_assert_eq!(back, bm);
     }
 
+    // Structural validation: a bitmap with any one byte flipped either
+    // fails to decode or decodes to a bitmap whose runs cover exactly
+    // its claimed length — never to a length its words do not describe.
+    #[test]
+    fn single_byte_flip_fails_or_stays_consistent(
+        bits in proptest::collection::vec(any::<bool>(), 0..300),
+        pos in any::<usize>(),
+        mask in 1u8..=255u8,
+    ) {
+        let mut bytes = WahBitmap::from_bools(&bits).to_bytes();
+        let pos = pos % bytes.len();
+        bytes[pos] ^= mask;
+        if let Ok((bm, _)) = WahBitmap::from_bytes(&bytes) {
+            let covered: u64 = bm.iter_runs().map(|(_, len, _)| len).sum();
+            prop_assert_eq!(covered, bm.len());
+            prop_assert!(bm.count_ones() <= bm.len());
+        }
+    }
+
     #[test]
     fn ops_match_naive(
         a in proptest::collection::vec(any::<bool>(), 100),

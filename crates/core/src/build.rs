@@ -43,7 +43,8 @@ use crate::array::ChunkGrid;
 use crate::binning::BinSpec;
 use crate::config::MlocConfig;
 use crate::index::{BinIndexBuilder, UnitLoc};
-use crate::store::VariableMeta;
+use crate::integrity::ExtentFooter;
+use crate::store::{encode_meta_file, BinFooters, VariableMeta};
 use crate::{fileorg, plod, MlocError, Result};
 use mloc_bitmap::WahBitmap;
 use mloc_compress::{Codec, FloatCodec};
@@ -51,6 +52,7 @@ use mloc_hilbert::GridOrder;
 use mloc_obs::{Label, Profile, Registry};
 use mloc_pfs::StorageBackend;
 use mloc_runtime::parallel_map;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Maximum number of values sampled for computing bin bounds (the
@@ -438,7 +440,7 @@ impl<'a> StreamingBuilder<'a> {
         let backend = self.backend;
         let dataset = &self.dataset;
         let var = &self.var;
-        let written: Vec<Result<(u64, u64)>> = parallel_map(
+        let written: Vec<Result<(u64, u64, BinFooters)>> = parallel_map(
             threads,
             assembled,
             |bin, (data, data_extents, index_data, index_extents)| {
@@ -446,11 +448,15 @@ impl<'a> StreamingBuilder<'a> {
                 let index_name = fileorg::index_file(dataset, var, bin);
                 // Payload first, checksum footer last: a torn write
                 // leaves no valid trailer, so partial files can never
-                // verify as complete.
-                let data_footer =
-                    crate::integrity::ExtentFooter::compute(&data, &data_extents).encode();
-                let index_footer =
-                    crate::integrity::ExtentFooter::compute(&index_data, &index_extents).encode();
+                // verify as complete. The same tables go into the
+                // meta's checksum manifest, which queries check
+                // against.
+                let footers = BinFooters {
+                    index: Arc::new(ExtentFooter::compute(&index_data, &index_extents)),
+                    data: Arc::new(ExtentFooter::compute(&data, &data_extents)),
+                };
+                let data_footer = footers.data.encode();
+                let index_footer = footers.index.encode();
                 // Each payload is made durable before its footer is
                 // appended: the trailer doubles as the file's commit
                 // marker, so it must never reach the device ahead of
@@ -469,15 +475,18 @@ impl<'a> StreamingBuilder<'a> {
                 Ok((
                     (data.len() + data_footer.len()) as u64,
                     (index_data.len() + index_footer.len()) as u64,
+                    footers,
                 ))
             },
         );
         let mut data_bytes = 0u64;
         let mut index_bytes = 0u64;
+        let mut manifest = Vec::with_capacity(written.len());
         for w in written {
-            let (d, i) = w?;
+            let (d, i, footers) = w?;
             data_bytes += d;
             index_bytes += i;
+            manifest.push(footers);
         }
         let write_seconds = t_write.elapsed().as_secs_f64();
 
@@ -488,14 +497,12 @@ impl<'a> StreamingBuilder<'a> {
             bin_bounds: self.spec.bounds().to_vec(),
             total_points,
         };
-        // Meta is written last, with a single-extent checksum footer.
-        // Its valid trailer is the build's commit marker: a build that
-        // died mid-write left either no meta or a torn one, and both
-        // fail verification at open time.
-        let mut meta_data = meta.encode();
-        let meta_footer =
-            crate::integrity::ExtentFooter::compute(&meta_data, &[meta_data.len() as u32]);
-        meta_data.extend_from_slice(&meta_footer.encode());
+        // Meta is written last, with its checksum manifest and a
+        // single-extent checksum footer. Its valid trailer is the
+        // build's commit marker: a build that died mid-write left
+        // either no meta or a torn one, and both fail verification at
+        // open time.
+        let meta_data = encode_meta_file(&meta, &manifest);
         let meta_name = fileorg::meta_file(&self.dataset, &self.var);
         self.backend.create(&meta_name)?;
         self.backend.append(&meta_name, &meta_data)?;

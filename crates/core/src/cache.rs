@@ -54,9 +54,6 @@ pub enum BlockPart {
     Floats,
     /// One decompressed PLoD byte-group part (0 = most significant).
     PlodPart(u8),
-    /// The parsed checksum footer of one bin file (0 = index file,
-    /// 1 = data file; chunk rank is 0).
-    Footer(u8),
 }
 
 /// Cache key: one decompressed block of one built variable.
@@ -148,20 +145,16 @@ pub enum CachedBlock {
     Bytes(ByteView),
     /// Decoded doubles: whole-value blocks.
     Floats(Arc<Vec<f64>>),
-    /// A parsed per-extent checksum footer of one bin file.
-    Footer(Arc<crate::integrity::ExtentFooter>),
 }
 
 impl CachedBlock {
     /// Budget charge of this block in bytes (the view length for byte
     /// blocks — shared extent backing is charged per view, so a few
-    /// coalescing-gap bytes may ride along free; footers are charged
-    /// their on-disk encoded size).
+    /// coalescing-gap bytes may ride along free).
     pub fn cost(&self) -> u64 {
         match self {
             CachedBlock::Bytes(b) => b.len() as u64,
             CachedBlock::Floats(f) => (f.len() * std::mem::size_of::<f64>()) as u64,
-            CachedBlock::Footer(f) => f.encoded_len(),
         }
     }
 
@@ -177,14 +170,6 @@ impl CachedBlock {
     pub fn as_floats(&self) -> Option<&Arc<Vec<f64>>> {
         match self {
             CachedBlock::Floats(f) => Some(f),
-            _ => None,
-        }
-    }
-
-    /// The footer payload, if this is a footer block.
-    pub fn as_footer(&self) -> Option<&Arc<crate::integrity::ExtentFooter>> {
-        match self {
-            CachedBlock::Footer(f) => Some(f),
             _ => None,
         }
     }

@@ -35,10 +35,12 @@
 //! v1 files (no summary, no directories) remain fully readable.
 
 use crate::integrity::ExtentFooter;
+use crate::store::{decode_meta_payload, encode_meta_file};
 use crate::wire::{Reader, Writer};
 use crate::{MlocError, Result};
 use mloc_bitmap::{RankSelectDir, WahBitmap};
 use mloc_pfs::StorageBackend;
+use std::sync::Arc;
 
 const MAGIC: u32 = 0x5844_494D; // "MIDX"
 /// Current index format version (v2 = summary section + rank/select
@@ -427,32 +429,35 @@ pub fn downgrade_payload_to_v1(payload: &[u8]) -> Result<(Vec<u8>, Vec<u32>)> {
 }
 
 /// Downgrade every index file of a variable to format v1 in place
-/// (payload rewritten, footer recomputed). Data files and meta are
-/// untouched. Returns the number of files rewritten.
+/// (payload rewritten, footer recomputed), then rewrite the meta so
+/// its checksum manifest matches the new index files. Data files are
+/// untouched. Each index file is synced before the meta, and the meta
+/// last, as in a build. Returns the number of index files rewritten.
 pub fn downgrade_variable_to_v1(
     backend: &dyn StorageBackend,
     dataset: &str,
     var: &str,
 ) -> Result<usize> {
-    let prefix = format!("{dataset}/{var}/");
-    let mut rewritten = 0;
-    let mut names: Vec<String> = backend
-        .list()
-        .into_iter()
-        .filter(|n| n.starts_with(&prefix) && n.ends_with(".idx"))
-        .collect();
-    names.sort();
-    for name in names {
+    let meta_name = crate::fileorg::meta_file(dataset, var);
+    let raw_meta = backend.read(&meta_name, 0, backend.len(&meta_name)?)?;
+    let (meta, mut manifest) =
+        decode_meta_payload(ExtentFooter::split_verified(&raw_meta, &meta_name)?)?;
+    for (bin, footers) in manifest.iter_mut().enumerate() {
+        let name = crate::fileorg::index_file(dataset, var, bin);
         let raw = backend.read(&name, 0, backend.len(&name)?)?;
         let payload = ExtentFooter::split_verified(&raw, &name)?;
         let (v1, extents) = downgrade_payload_to_v1(payload)?;
-        let footer = ExtentFooter::compute(&v1, &extents).encode();
+        let footer = ExtentFooter::compute(&v1, &extents);
         backend.create(&name)?;
         backend.append(&name, &v1)?;
-        backend.append(&name, &footer)?;
-        rewritten += 1;
+        backend.append(&name, &footer.encode())?;
+        backend.sync(&name)?;
+        footers.index = Arc::new(footer);
     }
-    Ok(rewritten)
+    backend.create(&meta_name)?;
+    backend.append(&meta_name, &encode_meta_file(&meta, &manifest))?;
+    backend.sync(&meta_name)?;
+    Ok(manifest.len())
 }
 
 #[cfg(test)]

@@ -5,8 +5,11 @@
 //! header, each positional bitmap, each compressed unit — in file
 //! order, covering the payload completely. The query engine verifies
 //! exactly the extents it reads (they are the same extents the build
-//! wrote, so no read has to be widened to a checksum boundary), and
-//! `mloc verify` recomputes every entry offline to pinpoint damage.
+//! wrote, so no read has to be widened to a checksum boundary) against
+//! the copy of each bin file's table that the meta's checksum manifest
+//! carries ([`crate::store::BinFooters`]), so queries never read a
+//! footer. `mloc verify` recomputes every entry offline to pinpoint
+//! damage.
 //!
 //! File layout:
 //!
@@ -36,28 +39,72 @@ const FOOTER_VERSION: u32 = 1;
 /// Size of the fixed trailer at the end of a footered file.
 pub const TRAILER_LEN: u64 = 24;
 
-/// CRC32 (IEEE, reflected, poly 0xEDB88320) over `data`. Table-driven
-/// and dependency-free; the table is built once per process.
-pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *e = c;
+/// Slicing-by-8 lookup tables: `TABLES[0]` is the classic bytewise
+/// table; `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, so eight table lookups fold eight input bytes at once.
+static TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
         }
-        t
-    });
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
+}
+
+/// CRC32 (IEEE, reflected, poly 0xEDB88320) over `data`. Slicing-by-8:
+/// eight bytes per step through compile-time tables, a bytewise tail,
+/// no dependency.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &TABLES;
+    let mut c = !0u32;
+    let mut blocks = data.chunks_exact(8);
+    for b in &mut blocks {
+        let lo = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) ^ c;
+        let hi = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
+}
+
+/// The bytewise kernel `crc32` replaced, kept as its reference.
+#[cfg(test)]
+fn crc32_bytewise(data: &[u8]) -> u32 {
     let mut c = !0u32;
     for &b in data {
-        c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        c = TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -114,10 +161,7 @@ impl ExtentFooter {
     /// payload).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len() as usize);
-        for (&len, &crc) in self.lens.iter().zip(&self.crcs) {
-            out.extend_from_slice(&len.to_le_bytes());
-            out.extend_from_slice(&crc.to_le_bytes());
-        }
+        self.write_table(&mut out);
         let table_crc = crc32(&out);
         out.extend_from_slice(&table_crc.to_le_bytes());
         out.extend_from_slice(&self.payload_len.to_le_bytes());
@@ -125,6 +169,53 @@ impl ExtentFooter {
         out.extend_from_slice(&FOOTER_VERSION.to_le_bytes());
         out.extend_from_slice(&FOOTER_MAGIC.to_le_bytes());
         out
+    }
+
+    /// Append the extent table — `n × { len: u32, crc: u32 }`, the
+    /// table section of [`Self::encode`] — to `out`.
+    pub(crate) fn write_table(&self, out: &mut Vec<u8>) {
+        for (&len, &crc) in self.lens.iter().zip(&self.crcs) {
+            out.extend_from_slice(&len.to_le_bytes());
+            out.extend_from_slice(&crc.to_le_bytes());
+        }
+    }
+
+    /// Parse an extent table written by [`Self::write_table`]. The
+    /// payload length is the sum of the extent lengths (extents tile
+    /// the payload from offset 0). The caller vouches for the table's
+    /// integrity (a table CRC, or the CRC of the file it is embedded
+    /// in).
+    pub(crate) fn from_table(table: &[u8], file: &str) -> Result<ExtentFooter> {
+        if !table.len().is_multiple_of(8) {
+            return Err(corrupt_extent(
+                file,
+                0,
+                table.len() as u64,
+                "footer table length not a whole number of entries",
+            ));
+        }
+        let n = table.len() / 8;
+        let mut offsets = Vec::with_capacity(n);
+        let mut lens = Vec::with_capacity(n);
+        let mut crcs = Vec::with_capacity(n);
+        let mut off = 0u64;
+        for e in table.chunks_exact(8) {
+            let len = u32::from_le_bytes([e[0], e[1], e[2], e[3]]);
+            let crc = u32::from_le_bytes([e[4], e[5], e[6], e[7]]);
+            if len == 0 {
+                return Err(corrupt_extent(file, off, 0, "zero-length extent entry"));
+            }
+            offsets.push(off);
+            lens.push(len);
+            crcs.push(crc);
+            off += u64::from(len);
+        }
+        Ok(ExtentFooter {
+            payload_len: off,
+            offsets,
+            lens,
+            crcs,
+        })
     }
 
     /// Total bytes [`Self::encode`] appends (table + trailer).
@@ -214,28 +305,8 @@ impl ExtentFooter {
                 "checksum table corrupt",
             ));
         }
-        let n = table.len() / 8;
-        let mut offsets = Vec::with_capacity(n);
-        let mut lens = Vec::with_capacity(n);
-        let mut crcs = Vec::with_capacity(n);
-        let mut off = 0u64;
-        for i in 0..n {
-            let len = u32::from_le_bytes(table[i * 8..i * 8 + 4].try_into().expect("4 bytes"));
-            let crc = u32::from_le_bytes(table[i * 8 + 4..i * 8 + 8].try_into().expect("4 bytes"));
-            if len == 0 {
-                return Err(corrupt_extent(
-                    file,
-                    payload_len,
-                    table_len,
-                    "zero-length extent entry",
-                ));
-            }
-            offsets.push(off);
-            lens.push(len);
-            crcs.push(crc);
-            off += u64::from(len);
-        }
-        if off != payload_len {
+        let footer = Self::from_table(table, file)?;
+        if footer.payload_len != payload_len {
             return Err(corrupt_extent(
                 file,
                 payload_len,
@@ -243,12 +314,7 @@ impl ExtentFooter {
                 "extents do not tile payload",
             ));
         }
-        Ok(ExtentFooter {
-            payload_len,
-            offsets,
-            lens,
-            crcs,
-        })
+        Ok(footer)
     }
 
     /// Verify one read extent against its recorded checksum. The read
@@ -303,7 +369,7 @@ impl ExtentFooter {
 }
 
 /// Build a [`MlocError::CorruptExtent`] with context.
-pub(crate) fn corrupt_extent(file: &str, offset: u64, len: u64, what: &str) -> MlocError {
+fn corrupt_extent(file: &str, offset: u64, len: u64, what: &str) -> MlocError {
     MlocError::CorruptExtent {
         file: file.to_string(),
         offset,
@@ -318,13 +384,61 @@ mod tests {
 
     #[test]
     fn crc32_known_vectors() {
-        // Standard IEEE CRC32 check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
+        // Standard IEEE CRC32 check values, through both kernels.
+        for kernel in [crc32, crc32_bytewise] {
+            assert_eq!(kernel(b""), 0);
+            assert_eq!(kernel(b"123456789"), 0xCBF4_3926);
+            assert_eq!(
+                kernel(b"The quick brown fox jumps over the lazy dog"),
+                0x414F_A339
+            );
+        }
+    }
+
+    #[test]
+    fn table_roundtrip_matches_footer() {
+        let (payload, lens) = sample();
+        let footer = ExtentFooter::compute(&payload, &lens);
+        let mut table = Vec::new();
+        footer.write_table(&mut table);
+        assert_eq!(table.len(), footer.num_extents() * 8);
+        assert_eq!(ExtentFooter::from_table(&table, "f").unwrap(), footer);
+        assert!(ExtentFooter::from_table(&table[..7], "f").is_err());
+        // A zero-length entry never tiles anything.
+        let mut zero = table.clone();
+        zero[..4].copy_from_slice(&0u32.to_le_bytes());
+        assert!(ExtentFooter::from_table(&zero, "f").is_err());
+    }
+
+    #[test]
+    fn slicing_by_8_matches_bytewise_on_every_short_tail() {
+        let buf: Vec<u8> = (0..80u32).map(|i| (i * 151 + 7) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
+            }
+        }
+    }
+
+    mod crc_kernel_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            // Slicing-by-8 equals the bytewise reference for every
+            // length up to 4 KiB at every alignment of the 8-byte
+            // blocks relative to the buffer start.
+            #[test]
+            fn slicing_by_8_matches_bytewise(
+                buf in proptest::collection::vec(any::<u8>(), 4104..4105),
+                len in 0usize..4096,
+                start in 0usize..8,
+            ) {
+                let data = &buf[start..start + len];
+                prop_assert_eq!(crc32(data), crc32_bytewise(data));
+            }
+        }
     }
 
     fn sample() -> (Vec<u8>, Vec<u32>) {

@@ -9,7 +9,8 @@
 //! pull then fetches exactly the next part's extents and merges them
 //! into the already-returned values in place via [`plod::refine_into`]
 //! — one byte per value, no reassembly, and no re-reading of index
-//! headers, bitmaps, positions, or footers (all captured at step 0).
+//! headers, bitmaps or positions (all captured at step 0). Extent CRCs
+//! come from the store's checksum manifest, as in the one-shot engine.
 //!
 //! Two invariants tie the ladder to the one-shot engine:
 //!
@@ -410,7 +411,6 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
             let data_file = store.data_file(bin);
             let mut wants: Vec<(u64, u32)> = Vec::new();
             let mut slots: Vec<usize> = Vec::new();
-            let mut footer: Option<Arc<crate::integrity::ExtentFooter>> = None;
             for k in i..j {
                 let st = &self.units[k];
                 if st.cap <= p || st.unit.count == 0 {
@@ -435,14 +435,18 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
                 }
                 wants.push((loc.offset, loc.clen));
                 slots.push(k);
-                footer = Some(Arc::clone(&st.unit.footer));
             }
             i = j;
             if wants.is_empty() {
                 continue;
             }
-            let results =
-                coalesced_read_results(&mut io, &data_file, &wants, footer.as_deref(), fuser);
+            let results = coalesced_read_results(
+                &mut io,
+                &data_file,
+                &wants,
+                Some(store.data_footer(bin)),
+                fuser,
+            );
             let td = Instant::now();
             for (w_i, r) in results.into_iter().enumerate() {
                 let k = slots[w_i];

@@ -8,12 +8,11 @@
 //! operation, and per-chunk scratch buffers (PLoD floats, coordinates)
 //! are reused across work units.
 
-use crate::cache::{BlockCache, BlockKey, BlockPart, ByteView, CachedBlock};
+use crate::cache::{BlockKey, BlockPart, ByteView, CachedBlock};
 use crate::config::{PlodLevel, NUM_PARTS};
 use crate::degrade::{DegradationEvent, DegradationReport};
 use crate::fusion::coalesced_read_results;
 use crate::index::{decode_summary, header_size, BinIndex, ChunkSummary, UnitLoc};
-use crate::integrity::{ExtentFooter, TRAILER_LEN};
 use crate::plod;
 use crate::query::plan::{parts_used, WorkUnit};
 use crate::query::Query;
@@ -70,8 +69,8 @@ pub struct RankOutput {
 
 /// What a progressive query remembers about one refinable work unit
 /// after its step-0 pass, so later refinement pulls read only the next
-/// byte-group extents — index headers, bitmaps, positions, and footers
-/// are planned once here and never re-read.
+/// byte-group extents — index headers, bitmaps and positions are
+/// planned once here and never re-read.
 #[derive(Debug, Clone)]
 pub struct RefineUnit {
     /// Value bin (names the data file).
@@ -83,68 +82,11 @@ pub struct RefineUnit {
     pub count: u32,
     /// Extent location of every PLoD part, from the bin index header.
     pub part_locs: Vec<UnitLoc>,
-    /// The data file's checksum footer, shared with step 0's reads.
-    pub footer: Arc<ExtentFooter>,
     /// Per emitted point: its rank within the unit's value array (the
     /// byte index inside each tail part).
     pub val_idx: Vec<u32>,
     /// Per emitted point: its global position (ascending).
     pub positions: Vec<u64>,
-}
-
-/// Load (or probe the cache for) a file's per-extent checksum footer.
-///
-/// Cold: one untraced `len()` plus two traced reads — the fixed
-/// trailer at the end of the file, then the table it locates — whose
-/// lengths sum to [`ExtentFooter::encoded_len`]. Warm: one cached
-/// trace record of that same total, so fault-free cold/warm byte
-/// accounting mirrors every other cached block. A footer that cannot
-/// be loaded or fails its own CRC is always a hard error: without it
-/// nothing in the file can be trusted.
-#[allow(clippy::too_many_arguments)] // internal helper threading rank counters
-fn load_footer(
-    io: &mut RankIo<'_>,
-    file: &str,
-    cache: Option<&BlockCache>,
-    key: BlockKey,
-    out: &mut RankOutput,
-    cache_rejected: &mut u64,
-    to_index_bytes: bool,
-) -> Result<Arc<ExtentFooter>> {
-    if let Some(c) = cache {
-        if let Some(CachedBlock::Footer(f)) = c.get(&key) {
-            io.record_cached(file, f.payload_len(), f.encoded_len());
-            out.cache_hits += 1;
-            out.bytes_saved += f.encoded_len();
-            return Ok(f);
-        }
-        out.cache_misses += 1;
-    }
-    let flen = io.backend().len(file)?;
-    if flen < TRAILER_LEN {
-        return Err(crate::integrity::corrupt_extent(
-            file,
-            0,
-            flen,
-            "file shorter than footer trailer",
-        ));
-    }
-    let trailer = io.read(file, flen - TRAILER_LEN, TRAILER_LEN)?;
-    let (payload_len, table_len) = ExtentFooter::decode_trailer(&trailer, flen, file)?;
-    let mut region = io.read(file, payload_len, table_len)?;
-    region.extend_from_slice(&trailer);
-    let footer = Arc::new(ExtentFooter::decode(&region, flen, file)?);
-    if to_index_bytes {
-        out.index_bytes += footer.encoded_len();
-    } else {
-        out.data_bytes += footer.encoded_len();
-    }
-    if let Some(c) = cache {
-        if !c.insert(key, CachedBlock::Footer(Arc::clone(&footer))) {
-            *cache_rejected += 1;
-        }
-    }
-    Ok(footer)
 }
 
 /// Decompose a chunk-local offset into global coordinates without
@@ -428,20 +370,22 @@ fn use_general_path() -> bool {
 /// [`crate::QueryMetrics`]. Pass [`Collector::disabled`] to skip all
 /// recording at the cost of one branch per call site.
 ///
-/// Every extent read is verified against the file's checksum footer.
-/// When `allow_degraded` is set, an unreadable or corrupt *non-base*
-/// PLoD byte-group extent of a value-filterless unit is worked around:
-/// the unit is reconstructed from the parts before the loss (exact
-/// positions, values at reduced precision) and the loss is recorded in
-/// [`RankOutput::degradation`]. Index headers, bitmaps, base parts,
-/// value-filtered units, and the footers themselves always fail loudly
-/// — degrading any of those could silently change *which* points match.
+/// Every extent read is verified against the file's checksum table in
+/// the store's manifest ([`MlocStore::index_footer`],
+/// [`MlocStore::data_footer`]), so no query reads a footer or a file
+/// length. When `allow_degraded` is set, an unreadable or corrupt
+/// *non-base* PLoD byte-group extent of a value-filterless unit is
+/// worked around: the unit is reconstructed from the parts before the
+/// loss (exact positions, values at reduced precision) and the loss is
+/// recorded in [`RankOutput::degradation`]. Index headers, bitmaps,
+/// base parts and value-filtered units always fail loudly — degrading
+/// any of those could silently change *which* points match.
 ///
 /// With `capture_refine` set (progressive queries only), every
 /// refinable unit — PLoD data-bearing, values wanted, no value filter,
 /// no position filter — additionally records a [`RefineUnit`] in
-/// [`RankOutput::refine_units`]: its part extent locations, footer,
-/// and the per-point (value rank, global position) mapping the
+/// [`RankOutput::refine_units`]: its part extent locations and the
+/// per-point (value rank, global position) mapping the
 /// emission below established. Emitted positions and values are
 /// identical with and without capture.
 #[allow(clippy::too_many_arguments)] // rank-internal entry point, called from the executor only
@@ -525,20 +469,12 @@ pub fn process_units(
         let index_bytes_before = out.index_bytes;
         obs.begin("index-read");
 
-        // The index file's checksum footer comes first: every extent
-        // read from the file below (header, bitmaps) is verified
-        // against it, and none of them is degradable — a damaged index
-        // fails the query loudly.
+        // Every extent read from the index file below (header,
+        // summary, bitmaps) is verified against the manifest's table,
+        // and none of them is degradable — a damaged index fails the
+        // query loudly.
         let idx_file = store.index_file(bin);
-        let idx_footer = load_footer(
-            io,
-            &idx_file,
-            cache,
-            key(bin, 0, BlockPart::Footer(0)),
-            &mut out,
-            &mut cache_rejected,
-            true,
-        )?;
+        let idx_footer = store.index_footer(bin);
 
         // Index header + directory: one sequential read, cached whole.
         let hdr_len = header_size(num_chunks, num_parts);
@@ -651,7 +587,7 @@ pub fn process_units(
         }
         let mut bitmap_views: Vec<ByteView> = Vec::with_capacity(bitmap_wants.len());
         for (k_i, w) in
-            coalesced_read_results(io, &idx_file, &bitmap_wants, Some(&idx_footer), fuser)
+            coalesced_read_results(io, &idx_file, &bitmap_wants, Some(idx_footer), fuser)
                 .into_iter()
                 .enumerate()
         {
@@ -689,26 +625,7 @@ pub fn process_units(
         obs.begin("data-read");
         let data_file = store.data_file(bin);
         let data_bytes_before = out.data_bytes;
-        // The data file's footer is needed iff any unit actually
-        // touches data. The condition depends only on the plan and the
-        // index — never on cache state — so cold and warm runs of the
-        // same query access it identically.
-        let group_needs_data = group
-            .iter()
-            .any(|u| u.needs_data && index.chunks[u.chunk_rank].count > 0);
-        let dat_footer: Option<Arc<ExtentFooter>> = if group_needs_data {
-            Some(load_footer(
-                io,
-                &data_file,
-                cache,
-                key(bin, 0, BlockPart::Footer(1)),
-                &mut out,
-                &mut cache_rejected,
-                false,
-            )?)
-        } else {
-            None
-        };
+        let dat_footer = store.data_footer(bin);
         let mut parts_of: Vec<Vec<Option<ByteView>>> = vec![Vec::new(); group.len()];
         let mut floats_of: Vec<Option<Arc<Vec<f64>>>> = vec![None; group.len()];
         let mut data_wants: Vec<(u64, u32)> = Vec::new();
@@ -752,7 +669,7 @@ pub fn process_units(
             }
         }
         let data_results =
-            coalesced_read_results(io, &data_file, &data_wants, dat_footer.as_deref(), fuser);
+            coalesced_read_results(io, &data_file, &data_wants, Some(dat_footer), fuser);
 
         // Sort the per-want outcomes: successes keep their views; a
         // failed want is fatal unless it is degradable — a non-base
@@ -1047,11 +964,6 @@ pub fn process_units(
                     chunk_rank: u.chunk_rank,
                     count: entry.count,
                     part_locs: index.chunks[u.chunk_rank].units.clone(),
-                    footer: Arc::clone(
-                        dat_footer
-                            .as_ref()
-                            .ok_or(MlocError::Corrupt("data unit without footer"))?,
-                    ),
                     val_idx: Vec::new(),
                     positions: Vec::new(),
                 };

@@ -6,6 +6,7 @@ use crate::cache::BlockCache;
 use crate::config::{LevelOrder, MlocConfig};
 use crate::exec::ParallelExecutor;
 use crate::fusion::ExtentFuser;
+use crate::integrity::ExtentFooter;
 use crate::metrics::QueryMetrics;
 use crate::query::{Query, QueryResult};
 use crate::wire::{Reader, Writer};
@@ -17,6 +18,8 @@ use std::sync::Arc;
 
 const MAGIC: u32 = 0x5445_4D4D; // "MMET"
 const VERSION: u8 = 2;
+const MANIFEST_MAGIC: u32 = 0x4E41_4D4D; // "MMAN"
+const MANIFEST_VERSION: u8 = 1;
 
 fn curve_tag(c: CurveKind) -> u8 {
     match c {
@@ -119,6 +122,78 @@ impl VariableMeta {
     }
 }
 
+/// The per-extent checksum tables of one bin's two files, as the meta
+/// file's checksum manifest records them. They are the same tables the
+/// files' own footers hold; queries check extents against these copies,
+/// so they never read a footer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BinFooters {
+    /// The bin index file's extents (header, summary, bitmaps).
+    pub index: Arc<ExtentFooter>,
+    /// The bin data file's extents (compressed units).
+    pub data: Arc<ExtentFooter>,
+}
+
+/// Encode a meta file: the [`VariableMeta`] section, then the checksum
+/// manifest section, then a single-extent checksum footer over both.
+/// The manifest holds, per bin, the index table and then the data
+/// table, each as `n: u32` followed by the footer-table encoding
+/// ([`ExtentFooter::write_table`]).
+pub(crate) fn encode_meta_file(meta: &VariableMeta, bins: &[BinFooters]) -> Vec<u8> {
+    let mut out = meta.encode();
+    out.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
+    out.push(MANIFEST_VERSION);
+    out.extend_from_slice(&(bins.len() as u32).to_le_bytes());
+    for b in bins {
+        for f in [&b.index, &b.data] {
+            out.extend_from_slice(&(f.num_extents() as u32).to_le_bytes());
+            f.write_table(&mut out);
+        }
+    }
+    let footer = ExtentFooter::compute(&out, &[out.len() as u32]);
+    out.extend_from_slice(&footer.encode());
+    out
+}
+
+/// Parse a verified meta payload (footer already stripped) into the
+/// variable meta and its checksum manifest, one entry per bin.
+pub(crate) fn decode_meta_payload(payload: &[u8]) -> Result<(VariableMeta, Vec<BinFooters>)> {
+    let meta = VariableMeta::decode(payload)?;
+    // The meta encoding is canonical, so its length locates the
+    // manifest section.
+    let mut r = Reader::new(payload.get(meta.encode().len()..).unwrap_or(&[]));
+    if r.u32().ok() != Some(MANIFEST_MAGIC) {
+        return Err(MlocError::Corrupt("meta has no checksum manifest"));
+    }
+    if r.u8()? != MANIFEST_VERSION {
+        return Err(MlocError::Corrupt("unsupported checksum manifest version"));
+    }
+    let n_bins = r.u32()? as usize;
+    if n_bins != meta.config.num_bins {
+        return Err(MlocError::Corrupt("checksum manifest bin count mismatch"));
+    }
+    let table = |r: &mut Reader<'_>| -> Result<Arc<ExtentFooter>> {
+        let n = r.u32()? as usize;
+        let bytes = r.bytes(
+            n.checked_mul(8)
+                .ok_or(MlocError::Corrupt("header truncated"))?,
+        )?;
+        ExtentFooter::from_table(bytes, "meta")
+            .map(Arc::new)
+            .map_err(|_| MlocError::Corrupt("bad checksum manifest table"))
+    };
+    let mut bins = Vec::with_capacity(n_bins);
+    for _ in 0..n_bins {
+        let index = table(&mut r)?;
+        let data = table(&mut r)?;
+        bins.push(BinFooters { index, data });
+    }
+    if !r.remaining().is_empty() {
+        return Err(MlocError::Corrupt("trailing bytes after checksum manifest"));
+    }
+    Ok((meta, bins))
+}
+
 /// A built MLOC variable, opened for querying.
 pub struct MlocStore<'a> {
     backend: &'a dyn StorageBackend,
@@ -130,6 +205,7 @@ pub struct MlocStore<'a> {
     cache: Option<Arc<BlockCache>>,
     cache_scope: Arc<str>,
     fuser: Option<Arc<ExtentFuser>>,
+    footers: Vec<BinFooters>,
 }
 
 impl<'a> MlocStore<'a> {
@@ -145,9 +221,10 @@ impl<'a> MlocStore<'a> {
         // The meta file ends with a checksum footer whose valid
         // trailer doubles as the build's commit marker (it is written
         // last): a torn or bit-flipped meta fails here instead of
-        // parsing garbage.
-        let payload = crate::integrity::ExtentFooter::split_verified(&raw, &meta_name)?;
-        let meta = VariableMeta::decode(payload)?;
+        // parsing garbage. Its checksum manifest carries every bin
+        // file's extent CRCs, so queries never read a file footer.
+        let payload = ExtentFooter::split_verified(&raw, &meta_name)?;
+        let (meta, footers) = decode_meta_payload(payload)?;
         let grid = ChunkGrid::new(meta.config.shape.clone(), meta.config.chunk_shape.clone());
         let order = meta.config.chunk_order(&grid);
         let spec = BinSpec::from_bounds(meta.bin_bounds.clone())?;
@@ -162,7 +239,26 @@ impl<'a> MlocStore<'a> {
             cache: None,
             cache_scope,
             fuser: None,
+            footers,
         })
+    }
+
+    /// The checksum table of a bin's index file, from the meta's
+    /// manifest.
+    ///
+    /// # Panics
+    /// Panics when `bin` is not a bin of this variable.
+    pub fn index_footer(&self, bin: usize) -> &Arc<ExtentFooter> {
+        &self.footers[bin].index
+    }
+
+    /// The checksum table of a bin's data file, from the meta's
+    /// manifest.
+    ///
+    /// # Panics
+    /// Panics when `bin` is not a bin of this variable.
+    pub fn data_footer(&self, bin: usize) -> &Arc<ExtentFooter> {
+        &self.footers[bin].data
     }
 
     /// Attach a decompressed-block cache ([`crate::cache`]). Queries
@@ -298,6 +394,85 @@ mod tests {
         };
         let decoded = VariableMeta::decode(&meta.encode()).unwrap();
         assert_eq!(decoded, meta);
+    }
+
+    fn built() -> mloc_pfs::MemBackend {
+        let be = mloc_pfs::MemBackend::new();
+        let values: Vec<f64> = (0..256).map(|i| ((i * 37) % 101) as f64).collect();
+        let config = MlocConfig::builder(vec![16, 16])
+            .chunk_shape(vec![8, 8])
+            .num_bins(4)
+            .build();
+        crate::build_variable(&be, "ds", "v", &values, &config).unwrap();
+        be
+    }
+
+    fn meta_payload(be: &mloc_pfs::MemBackend) -> Vec<u8> {
+        let raw = be
+            .read("ds/v/meta", 0, be.len("ds/v/meta").unwrap())
+            .unwrap();
+        ExtentFooter::split_verified(&raw, "ds/v/meta")
+            .unwrap()
+            .to_vec()
+    }
+
+    /// Replace the meta file with `payload` plus a fresh footer.
+    fn write_meta(be: &mloc_pfs::MemBackend, payload: &[u8]) {
+        let footer = ExtentFooter::compute(payload, &[payload.len() as u32]);
+        be.create("ds/v/meta").unwrap();
+        be.append("ds/v/meta", payload).unwrap();
+        be.append("ds/v/meta", &footer.encode()).unwrap();
+    }
+
+    #[test]
+    fn manifest_matches_bin_file_footers() {
+        let be = built();
+        let store = MlocStore::open(&be, "ds", "v").unwrap();
+        for bin in 0..4 {
+            for (file, want) in [
+                (store.index_file(bin), store.index_footer(bin)),
+                (store.data_file(bin), store.data_footer(bin)),
+            ] {
+                let raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
+                let len = raw.len() as u64;
+                let footer =
+                    ExtentFooter::decode(&raw[want.payload_len() as usize..], len, &file).unwrap();
+                assert_eq!(&footer, want.as_ref(), "{file}");
+            }
+        }
+        // Encoding is canonical: re-encoding the decoded meta and
+        // manifest reproduces the file byte for byte.
+        let (meta, bins) = decode_meta_payload(&meta_payload(&be)).unwrap();
+        let raw = be
+            .read("ds/v/meta", 0, be.len("ds/v/meta").unwrap())
+            .unwrap();
+        assert_eq!(encode_meta_file(&meta, &bins), raw);
+    }
+
+    #[test]
+    fn meta_without_manifest_fails_to_open_as_corrupt() {
+        let be = built();
+        let payload = meta_payload(&be);
+        let (meta, _) = decode_meta_payload(&payload).unwrap();
+        write_meta(&be, &meta.encode());
+        assert!(matches!(
+            MlocStore::open(&be, "ds", "v"),
+            Err(MlocError::Corrupt(_))
+        ));
+        // A manifest with the wrong bin count, a truncated one, or one
+        // with trailing bytes is refused the same way.
+        let manifest_at = meta.encode().len();
+        let mut wrong_bins = payload.clone();
+        wrong_bins[manifest_at + 5] ^= 1;
+        let mut trailing = payload.clone();
+        trailing.push(0);
+        for bad in [wrong_bins, payload[..payload.len() - 3].to_vec(), trailing] {
+            write_meta(&be, &bad);
+            assert!(matches!(
+                MlocStore::open(&be, "ds", "v"),
+                Err(MlocError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

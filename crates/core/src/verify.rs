@@ -1,8 +1,10 @@
 //! Offline integrity verification (`mloc verify`).
 //!
 //! Recomputes every checksum recorded in the extent footers of a
-//! variable's files — meta, every bin index, every bin data file — and
-//! reports each damaged extent with a human-readable label (which
+//! variable's files — meta, every bin index, every bin data file —
+//! checks each bin file's footer table against the meta's checksum
+//! manifest (the copy queries verify against), and reports each
+//! damaged extent with a human-readable label (which
 //! chunk's bitmap, which byte-group part). Unlike the query path,
 //! which stops at the first unreadable extent it needs, verification
 //! keeps going and maps *all* the damage, so an operator can decide
@@ -11,6 +13,7 @@
 use crate::fileorg;
 use crate::index::BinIndex;
 use crate::integrity::{ExtentFooter, TRAILER_LEN};
+use crate::store::decode_meta_payload;
 use crate::{MlocError, Result};
 use mloc_pfs::{PfsError, ReadRequest, StorageBackend};
 use std::collections::{BTreeSet, HashMap};
@@ -201,6 +204,25 @@ fn check_file(
     Some((raw, footer))
 }
 
+/// Record a bin file whose own footer table disagrees with the meta's
+/// manifest copy: it verifies against itself but fails every query
+/// that touches it.
+fn check_manifest(
+    report: &mut VerifyReport,
+    file: &str,
+    footer: &ExtentFooter,
+    manifest: Option<&ExtentFooter>,
+) {
+    if manifest.is_some_and(|m| m != footer) {
+        report.damage.push(ExtentDamage {
+            file: file.to_string(),
+            offset: footer.payload_len(),
+            len: footer.encoded_len(),
+            what: "footer table disagrees with the meta's checksum manifest".to_string(),
+        });
+    }
+}
+
 /// Rewrite the `what` of damage entries in `file` with a location
 /// label derived from the (intact) index structure.
 fn relabel(report: &mut VerifyReport, file: &str, label: impl Fn(u64) -> Option<String>) {
@@ -248,16 +270,35 @@ pub fn verify_variable(
     }
     let mut fetched = FileBytes::fetch(backend, &files);
 
-    // … then verify extents from the buffers.
-    check_file(fetched.take(&meta_name), &meta_name, &mut report);
+    // … then verify extents from the buffers. An intact meta also
+    // yields the checksum manifest queries check extents against.
+    let damage_before = report.damage.len();
+    let manifest = check_file(fetched.take(&meta_name), &meta_name, &mut report)
+        .filter(|_| report.damage.len() == damage_before)
+        .and_then(|(raw, footer)| {
+            match decode_meta_payload(&raw[..footer.payload_len() as usize]) {
+                Ok((_, bins)) => Some(bins),
+                Err(e) => {
+                    report.damage.push(ExtentDamage {
+                        file: meta_name.clone(),
+                        offset: 0,
+                        len: footer.payload_len(),
+                        what: format!("payload unreadable: {e}"),
+                    });
+                    None
+                }
+            }
+        });
     relabel(&mut report, &meta_name, |_| Some("meta".to_string()));
 
     for bin in bins {
         let idx_file = fileorg::index_file(dataset, var, bin);
         let dat_file = fileorg::data_file(dataset, var, bin);
 
+        let want = manifest.as_ref().and_then(|m| m.get(bin));
         let mut index: Option<BinIndex> = None;
         if let Some((raw, footer)) = check_file(fetched.take(&idx_file), &idx_file, &mut report) {
+            check_manifest(&mut report, &idx_file, &footer, want.map(|b| &*b.index));
             // Best-effort header parse for location labels; extent 0 is
             // the header. Verification above already checked its CRC.
             if footer.num_extents() > 0 {
@@ -283,7 +324,9 @@ pub fn verify_variable(
             });
         }
 
-        check_file(fetched.take(&dat_file), &dat_file, &mut report);
+        if let Some((_, footer)) = check_file(fetched.take(&dat_file), &dat_file, &mut report) {
+            check_manifest(&mut report, &dat_file, &footer, want.map(|b| &*b.data));
+        }
         if let Some(idx) = &index {
             relabel(&mut report, &dat_file, |off| {
                 for (r, e) in idx.chunks.iter().enumerate() {
@@ -433,6 +476,35 @@ mod tests {
             "{}",
             r.damage[0].what
         );
+    }
+
+    #[test]
+    fn bin_footer_disagreeing_with_manifest_is_reported() {
+        // Rewrite one index file as v1 (a self-consistent file with a
+        // valid footer) but leave the meta's manifest untouched.
+        let be = build();
+        let name = "ds/v/bin0001.idx";
+        let raw = be.read(name, 0, be.len(name).unwrap()).unwrap();
+        let payload = ExtentFooter::split_verified(&raw, name).unwrap();
+        let (v1, extents) = crate::index::downgrade_payload_to_v1(payload).unwrap();
+        let footer = ExtentFooter::compute(&v1, &extents);
+        be.create(name).unwrap();
+        be.append(name, &v1).unwrap();
+        be.append(name, &footer.encode()).unwrap();
+
+        let report = verify_variable(&be, "ds", "v").unwrap();
+        assert_eq!(report.damage.len(), 1, "{report}");
+        let d = &report.damage[0];
+        assert_eq!(d.file, name);
+        assert_eq!(
+            (d.offset, d.len),
+            (footer.payload_len(), footer.encoded_len())
+        );
+        assert!(d.what.contains("checksum manifest"), "{}", d.what);
+        // Queries check against the manifest, so they refuse the file.
+        let store = crate::MlocStore::open(&be, "ds", "v").unwrap();
+        let q = crate::Query::region(f64::MIN, f64::MAX);
+        assert!(store.query_serial(&q).unwrap_err().is_corruption());
     }
 
     #[test]
